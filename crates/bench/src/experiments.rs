@@ -886,50 +886,6 @@ pub fn ablation_dram(opts: &ExpOpts) -> ExpTable {
     t
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn static_tables_render() {
-        let opts = ExpOpts { cycles: 100, ..ExpOpts::default() };
-        let t1 = table1(&opts);
-        assert!(t1.render().contains("80 @ 1132 MHz"));
-        let t2 = table2(&opts);
-        assert!(t2.render().contains("32.00 MB"));
-        assert!(t2.render().contains("256.00 MB"));
-        let t3 = table3(&opts);
-        assert!(t3.render().contains("64 MSHRs"));
-        let t6 = table6(&opts);
-        assert!(t6.render().contains("JSSC'20"));
-        let t7 = table7(&opts);
-        assert!(t7.render().contains("AES engine"));
-        let ad = area_displacement(&opts);
-        assert!(ad.render().contains("total"));
-    }
-
-    #[test]
-    fn small_gpu_experiment_smoke() {
-        // A tiny end-to-end run through the harness plumbing.
-        let opts = ExpOpts {
-            gpu: secmem_gpusim::config::GpuConfig::small(),
-            cycles: 1_500,
-            threads: 2,
-            ..ExpOpts::default()
-        };
-        let baselines = Baselines::compute(&opts);
-        let t4 = table4(&opts, &baselines);
-        assert_eq!(t4.rows.len(), 14);
-        let configs = vec![("secureMem".to_string(), SecureMemConfig::secure_mem())];
-        let t = normalized_ipc_table("smoke", &opts, &baselines, &configs);
-        assert_eq!(t.rows.len(), 15, "14 benchmarks + GMEAN");
-        for row in &t.rows {
-            let v: f64 = row[1].parse().expect("ratio parses");
-            assert!(v.is_finite() && v >= 0.0);
-        }
-    }
-}
-
 /// Extension: the DL-accelerator workload suite (`secmem_workloads::ml`)
 /// under the main protection schemes — the deployment scenario (cloud ML
 /// serving) that motivates GPU TEEs in the paper's introduction.
@@ -1023,4 +979,48 @@ pub fn matrix(opts: &ExpOpts) -> ExpTable {
         table.note(format!("{} job(s) FAILED after retry", failures.len()));
     }
     table
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn static_tables_render() {
+        let opts = ExpOpts { cycles: 100, ..ExpOpts::default() };
+        let t1 = table1(&opts);
+        assert!(t1.render().contains("80 @ 1132 MHz"));
+        let t2 = table2(&opts);
+        assert!(t2.render().contains("32.00 MB"));
+        assert!(t2.render().contains("256.00 MB"));
+        let t3 = table3(&opts);
+        assert!(t3.render().contains("64 MSHRs"));
+        let t6 = table6(&opts);
+        assert!(t6.render().contains("JSSC'20"));
+        let t7 = table7(&opts);
+        assert!(t7.render().contains("AES engine"));
+        let ad = area_displacement(&opts);
+        assert!(ad.render().contains("total"));
+    }
+
+    #[test]
+    fn small_gpu_experiment_smoke() {
+        // A tiny end-to-end run through the harness plumbing.
+        let opts = ExpOpts {
+            gpu: secmem_gpusim::config::GpuConfig::small(),
+            cycles: 1_500,
+            threads: 2,
+            ..ExpOpts::default()
+        };
+        let baselines = Baselines::compute(&opts);
+        let t4 = table4(&opts, &baselines);
+        assert_eq!(t4.rows.len(), 14);
+        let configs = vec![("secureMem".to_string(), SecureMemConfig::secure_mem())];
+        let t = normalized_ipc_table("smoke", &opts, &baselines, &configs);
+        assert_eq!(t.rows.len(), 15, "14 benchmarks + GMEAN");
+        for row in &t.rows {
+            let v: f64 = row[1].parse().expect("ratio parses");
+            assert!(v.is_finite() && v >= 0.0);
+        }
+    }
 }

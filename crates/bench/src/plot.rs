@@ -109,10 +109,11 @@ pub fn grouped_bars(table: &ExpTable, style: &PlotStyle) -> Option<String> {
             let top = y(*v);
             let _ = write!(
                 svg,
-                r#"<rect x="{x:.1}" y="{top:.1}" width="{bw:.1}" height="{bh:.1}" fill="{color}"><title>{t}</title></rect>"#,
+                r#"<rect x="{x:.1}" y="{top:.1}" width="{bw:.1}" height="{bh:.1}" fill="{color}"><title>{group} / {series} = {v:.3}</title></rect>"#,
                 bw = bar_w.max(1.0) - 0.5,
                 bh = (margin_top + plot_h - top).max(0.0),
-                t = format!("{} / {} = {v:.3}", esc(label), esc(series_names[si])),
+                group = esc(label),
+                series = esc(series_names[si]),
             );
         }
         // Rotated group label.

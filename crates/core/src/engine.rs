@@ -23,6 +23,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::num::NonZeroU32;
 
 use secmem_checkpoint::{CheckpointError, Reader, Snapshot, Writer};
 use secmem_gpusim::backend::MemoryBackend;
@@ -68,11 +69,25 @@ enum MdWaiter {
 }
 
 /// A deferred metadata operation (retried when MSHRs/queues were full).
+///
+/// `stamp` is the fill generation of the MSHR file the operation stalled
+/// under ([`MetadataCaches::fill_generation`]). Until that generation
+/// moves, a retry stalls again, so it is accounted without a probe.
+/// Stamps are not checkpointed; a restored retry carries `None` and
+/// probes. The 32-bit generation wraps, so a stale stamp matches again
+/// only after 2^32 fills on its file between two visits of the retry.
+/// Every cycle visits the queue's front and a stalled retry requeues at
+/// the back, so a retry waits at most one cycle per entry ahead of it:
+/// a false match would need billions of fills within that many cycles.
 #[derive(Debug, Clone)]
 enum RetryOp {
-    Access { class: TrafficClass, line: Addr, waiter: MdWaiter },
-    Walk { nodes: Vec<Addr> },
+    Access { class: TrafficClass, line: Addr, waiter: MdWaiter, stamp: Option<NonZeroU32> },
+    Walk { nodes: Vec<Addr>, stamp: Option<NonZeroU32> },
 }
+
+// The retry queue can hold thousands of operations; a stamp must not
+// widen them (a 32-bit stamp fits in the variants' padding).
+const _: () = assert!(std::mem::size_of::<RetryOp>() <= 32);
 
 #[derive(Debug)]
 struct ReadTxn {
@@ -165,13 +180,13 @@ impl Snapshot for MdWaiter {
 impl Snapshot for RetryOp {
     fn save(&self, w: &mut Writer) {
         match self {
-            RetryOp::Access { class, line, waiter } => {
+            RetryOp::Access { class, line, waiter, stamp: _ } => {
                 w.put_u8(0);
                 class.save(w);
                 w.put_u64(*line);
                 waiter.save(w);
             }
-            RetryOp::Walk { nodes } => {
+            RetryOp::Walk { nodes, stamp: _ } => {
                 w.put_u8(1);
                 nodes.save(w);
             }
@@ -183,8 +198,9 @@ impl Snapshot for RetryOp {
                 class: TrafficClass::load(r)?,
                 line: r.get_u64()?,
                 waiter: MdWaiter::load(r)?,
+                stamp: None,
             }),
-            1 => Ok(RetryOp::Walk { nodes: Vec::load(r)? }),
+            1 => Ok(RetryOp::Walk { nodes: Vec::load(r)?, stamp: None }),
             d => Err(CheckpointError::Malformed(format!("retry op discriminant {d}"))),
         }
     }
@@ -503,7 +519,8 @@ impl SecureBackend {
                 true
             }
             MdOutcome::Stall => {
-                self.retries.push_back(RetryOp::Access { class, line, waiter });
+                let stamp = Some(self.mdcache.fill_generation(class));
+                self.retries.push_back(RetryOp::Access { class, line, waiter, stamp });
                 false
             }
         }
@@ -613,7 +630,8 @@ impl SecureBackend {
                     // Retry from the stalled node on, reusing the path
                     // buffer (the stall path must not allocate afresh).
                     nodes.drain(..at);
-                    self.retries.push_back(RetryOp::Walk { nodes });
+                    let stamp = Some(self.mdcache.fill_generation(TrafficClass::Tree));
+                    self.retries.push_back(RetryOp::Walk { nodes, stamp });
                     return;
                 }
             }
@@ -711,22 +729,44 @@ impl SecureBackend {
         }
     }
 
+    /// Retries every deferred operation once, in queue order. A retry
+    /// whose stamp still matches its MSHR file's fill generation cannot
+    /// succeed (no entry freed and no line installed since it stalled), so
+    /// its stall is replayed instead of probed: same stats, same requeue.
     fn drain_retries(&mut self) {
         let mut budget = self.retries.len();
         while budget > 0 {
             budget -= 1;
             let Some(op) = self.retries.pop_front() else { break };
             match op {
-                RetryOp::Access { class, line, waiter } => {
+                RetryOp::Access { class, line, waiter, stamp } => {
+                    if stamp == Some(self.mdcache.fill_generation(class)) {
+                        self.replay_stall(class, line);
+                        self.retries.push_back(RetryOp::Access { class, line, waiter, stamp });
+                        break;
+                    }
                     if !self.md_access(class, line, waiter) {
                         // md_access re-queued it at the back; stop to avoid
                         // spinning on the same stall this cycle.
                         break;
                     }
                 }
-                RetryOp::Walk { nodes } => self.continue_walk(nodes),
+                RetryOp::Walk { nodes, stamp } => match nodes.first() {
+                    Some(&node) if stamp == Some(self.mdcache.fill_generation(TrafficClass::Tree)) => {
+                        self.replay_stall(TrafficClass::Tree, node);
+                        self.retries.push_back(RetryOp::Walk { nodes, stamp });
+                    }
+                    _ => self.continue_walk(nodes),
+                },
             }
         }
+    }
+
+    /// Accounts a retry that is known to stall again: the reuse-profiler
+    /// access and the metadata caches' side effects of a stalled access.
+    fn replay_stall(&mut self, class: TrafficClass, line: Addr) {
+        self.profile(class, line);
+        self.mdcache.note_stall(class, line);
     }
 }
 
@@ -1279,6 +1319,93 @@ mod tests {
         assert_eq!(s.decrypt_waited_on_counter, 1);
         assert_eq!(s.tree_verifications, 1);
         assert_eq!(s.meta[0].cache.misses, 1);
+    }
+
+    /// A 1-entry tree MSHR file holds a verification walk on its second
+    /// node until the first node's fill: every held cycle replays the
+    /// stall, adding exactly one tree miss, one MSHR stall and (when
+    /// profiling) one reuse-profiler access.
+    fn held_walk_counts_one_stall_per_cycle(profile_reuse: bool) {
+        let mut cfg = SecureMemConfig::with_scheme(SecurityScheme::CtrMacBmt);
+        cfg.mdcache_mshrs = 1;
+        cfg.profile_reuse = profile_reuse;
+        let mut b = SecureBackend::new(cfg, &gpu());
+        b.submit_read(0, read_req(1, 0x0));
+        assert!(b.retries.iter().any(|op| matches!(op, RetryOp::Walk { .. })), "the walk stalls on submit");
+        let tree = secmem_gpusim::stats::meta_index(TrafficClass::Tree);
+        let generation = b.mdcache.fill_generation(TrafficClass::Tree);
+        let start = b.engine_stats().meta[tree];
+        let start_profiled = b.reuse_profilers().map(|p| p[tree].accesses());
+        let mut held = 0;
+        for now in 0..1_000 {
+            b.cycle(now);
+            if b.mdcache.fill_generation(TrafficClass::Tree) != generation {
+                break;
+            }
+            held += 1;
+            let s = b.engine_stats().meta[tree];
+            assert_eq!(s.cache.misses, start.cache.misses + held, "cycle {now}");
+            assert_eq!(s.mshr.stalls, start.mshr.stalls + held, "cycle {now}");
+            assert_eq!(b.reuse_profilers().map(|p| p[tree].accesses()), start_profiled.map(|a| a + held));
+        }
+        assert!(held >= 10, "the walk was held for only {held} cycles");
+    }
+
+    #[test]
+    fn held_walk_counts_one_stall_per_cycle_without_profiling() {
+        held_walk_counts_one_stall_per_cycle(false);
+    }
+
+    #[test]
+    fn held_walk_counts_one_stall_per_cycle_with_profiling() {
+        held_walk_counts_one_stall_per_cycle(true);
+    }
+
+    fn snapshot(b: &SecureBackend) -> Vec<u8> {
+        let mut w = Writer::new();
+        b.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    /// Replaying stalls under an unchanged fill generation must leave the
+    /// engine exactly where probing them would: one engine keeps its
+    /// stamps, its twin forgets them before every cycle (as a restore
+    /// does), and the two stay byte-identical.
+    #[test]
+    fn replayed_stalls_equal_probed_ones() {
+        for scheme in [SecurityScheme::CtrMacBmt, SecurityScheme::DirectMacMt] {
+            let mut cfg = SecureMemConfig::with_scheme(scheme);
+            cfg.mdcache_mshrs = 2;
+            cfg.mdcache_mshr_merge = 2;
+            cfg.profile_reuse = true;
+            let mut replayed = SecureBackend::new(cfg.clone(), &gpu());
+            let mut probed = SecureBackend::new(cfg, &gpu());
+            let mut replays = 0;
+            for now in 0..3_000u64 {
+                for b in [&mut replayed, &mut probed] {
+                    if now % 5 == 0 && b.can_accept_read() {
+                        b.submit_read(now, read_req(now, (now * 0x1_0000) % (1 << 26)));
+                    }
+                    if now % 13 == 0 && b.can_accept_write() {
+                        b.submit_write(now, read_req(1 << 32 | now, (now * 0x2_0080) % (1 << 26)));
+                    }
+                }
+                for op in &mut probed.retries {
+                    let (RetryOp::Access { stamp, .. } | RetryOp::Walk { stamp, .. }) = op;
+                    *stamp = None;
+                }
+                let fills = replayed.mdcache.fill_generation(TrafficClass::Tree);
+                replays += replayed
+                    .retries
+                    .iter()
+                    .filter(|op| matches!(op, RetryOp::Walk { stamp: Some(g), .. } if *g == fills))
+                    .count();
+                replayed.cycle(now);
+                probed.cycle(now);
+                assert_eq!(snapshot(&replayed), snapshot(&probed), "{scheme:?} diverged at cycle {now}");
+            }
+            assert!(replays > 100, "{scheme:?}: only {replays} stalls were replayed");
+        }
     }
 
     #[test]

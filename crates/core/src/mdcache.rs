@@ -3,6 +3,8 @@
 //! unified cache (the CPU-style organization), with MSHRs and the
 //! idealization knobs of Table V.
 
+use std::num::NonZeroU32;
+
 use secmem_checkpoint::{CheckpointError, Reader, Snapshot, Writer};
 use secmem_gpusim::cache::{Eviction, SectoredCache};
 use secmem_gpusim::hash::{FastHashMap, FastHashSet};
@@ -47,6 +49,13 @@ pub struct MetadataCaches<T> {
     mshr_enabled: bool,
     /// Waiter lists for the no-MSHR mode: one DRAM fetch per waiter.
     private_waiters: FastHashMap<Addr, Vec<T>>,
+    /// Per MSHR file, a counter of the fills that completed on it. A fill
+    /// is the only operation that frees an entry or installs a line, so
+    /// an access that stalled keeps stalling until its file's generation
+    /// moves. It wraps from `u32::MAX` to 1, which callers comparing
+    /// generations must allow for. Not checkpointed: it only dates stalls
+    /// within one run.
+    fill_gens: Vec<NonZeroU32>,
     stats: [MetadataTypeStats; 3],
 }
 
@@ -97,11 +106,12 @@ impl<T> MetadataCaches<T> {
         } else {
             1 << 20
         };
-        let mshrs =
+        let mshrs: Vec<MshrFile<T>> =
             (0..files.max(1)).map(|_| MshrFile::new(per_file, cfg.mdcache_mshr_merge as usize)).collect();
         Self {
             kind: cfg.cache_kind,
             store,
+            fill_gens: vec![NonZeroU32::MIN; mshrs.len()],
             mshrs,
             mshr_enabled,
             private_waiters: FastHashMap::default(),
@@ -197,11 +207,40 @@ impl<T> MetadataCaches<T> {
         }
     }
 
+    /// The fill generation of the MSHR file serving `class`. While it
+    /// equals the generation an access of `class` stalled under, the same
+    /// access stalls again; [`MetadataCaches::note_stall`] accounts it.
+    pub(crate) fn fill_generation(&self, class: TrafficClass) -> NonZeroU32 {
+        self.fill_gens[self.mshr_index(class)]
+    }
+
+    /// Accounts an access of `class` to `line` that is known to stall (it
+    /// stalled under the current [`MetadataCaches::fill_generation`]):
+    /// every side effect of the stalled [`MetadataCaches::access`], the
+    /// miss and stall stats and the cache's probe tick, without probing.
+    pub(crate) fn note_stall(&mut self, class: TrafficClass, line: Addr) {
+        debug_assert!(!self.contains(class, line), "a stalled access misses");
+        let s = &mut self.stats[meta_index(class)];
+        s.cache.misses += 1;
+        s.mshr.stalls += 1;
+        if let Store::Real(caches) = &mut self.store {
+            let ci = match (self.kind, caches.len()) {
+                (MetadataCacheKind::Separate, 3) => meta_index(class),
+                _ => 0,
+            };
+            caches[ci].note_miss();
+        }
+        let mi = self.mshr_index(class);
+        self.mshrs[mi].note_stall();
+    }
+
     /// Completes a metadata fetch: installs the line and returns the
     /// waiters to notify plus any (dirty) evictions for lazy update and
     /// writeback. With MSHRs all merged waiters return at once; without,
     /// each fill returns one waiter (one fetch per waiter).
     pub fn fill(&mut self, class: TrafficClass, line: Addr) -> (Vec<T>, Vec<Eviction>) {
+        let mi = self.mshr_index(class);
+        self.fill_gens[mi] = self.fill_gens[mi].checked_add(1).unwrap_or(NonZeroU32::MIN);
         let mut evictions = Vec::new();
         match &mut self.store {
             Store::Perfect => {}
@@ -223,7 +262,6 @@ impl<T> MetadataCaches<T> {
             }
         }
         let waiters = if self.mshr_enabled || !matches!(self.store, Store::Real(_)) {
-            let mi = self.mshr_index(class);
             self.mshrs[mi].complete(line).map(|(_, w)| w).unwrap_or_default()
         } else {
             match self.private_waiters.get_mut(&line) {
@@ -536,6 +574,80 @@ mod tests {
     fn mark_dirty_on_absent_line_fails() {
         let mut md: MetadataCaches<u32> = MetadataCaches::new(&cfg());
         assert!(!md.mark_dirty(CTR, 0xABC00));
+    }
+
+    fn snapshot(md: &MetadataCaches<u32>) -> Vec<u8> {
+        let mut w = Writer::new();
+        md.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    /// Builds two identical subsystems and drives both to the point where
+    /// `drive` ends on a stall, then stalls one again through `access` and
+    /// accounts the other through `note_stall`: the two must be
+    /// indistinguishable, in checkpoint bytes and in statistics.
+    fn assert_note_stall_matches_access(
+        c: &SecureMemConfig,
+        drive: impl Fn(&mut MetadataCaches<u32>) -> Addr,
+    ) {
+        let mut probed: MetadataCaches<u32> = MetadataCaches::new(c);
+        let mut noted: MetadataCaches<u32> = MetadataCaches::new(c);
+        for md in [&mut probed, &mut noted] {
+            md.fill(MAC, 0x9000);
+        }
+        let line = drive(&mut probed);
+        assert_eq!(drive(&mut noted), line);
+        let generation = probed.fill_generation(CTR);
+        for _ in 0..3 {
+            assert_eq!(probed.access(CTR, line, 99), MdOutcome::Stall);
+            noted.note_stall(CTR, line);
+            assert_eq!(snapshot(&probed), snapshot(&noted));
+            assert_eq!(probed.stats(), noted.stats());
+        }
+        assert_eq!(probed.fill_generation(CTR), generation, "only a fill moves the generation");
+    }
+
+    /// Fills the file with distinct lines until one stalls.
+    fn stall_on_full_file(md: &mut MetadataCaches<u32>) -> Addr {
+        (0..1_000u64)
+            .map(|i| i * 128)
+            .find(|&line| md.access(CTR, line, 1) == MdOutcome::Stall)
+            .expect("a finite MSHR file fills up")
+    }
+
+    /// Merges into one line's entry until its merge list is full.
+    fn stall_on_full_merge(md: &mut MetadataCaches<u32>) -> Addr {
+        (0..1_000u32).find(|&w| md.access(CTR, 0x4000, w) == MdOutcome::Stall).expect("merge list fills up");
+        0x4000
+    }
+
+    #[test]
+    fn note_stall_matches_a_stalled_access_for_every_store() {
+        let mut separate = cfg();
+        separate.mdcache_mshrs = 2;
+        separate.mdcache_mshr_merge = 3;
+        let mut unified = separate.clone();
+        unified.cache_kind = MetadataCacheKind::Unified;
+        let mut infinite = separate.clone();
+        infinite.idealization = MdcIdealization::Infinite;
+        for c in [&separate, &unified] {
+            assert_note_stall_matches_access(c, stall_on_full_file);
+        }
+        for c in [&separate, &unified, &infinite] {
+            assert_note_stall_matches_access(c, stall_on_full_merge);
+        }
+    }
+
+    #[test]
+    fn fill_generation_moves_on_fills_of_its_file_only() {
+        let mut md: MetadataCaches<u32> = MetadataCaches::new(&cfg());
+        let (ctr, mac) = (md.fill_generation(CTR), md.fill_generation(MAC));
+        md.access(CTR, 0x0, 1);
+        md.access(MAC, 0x8000, 2);
+        assert_eq!((md.fill_generation(CTR), md.fill_generation(MAC)), (ctr, mac));
+        md.fill(MAC, 0x8000);
+        assert_eq!(md.fill_generation(CTR), ctr, "separate caches have separate files");
+        assert_ne!(md.fill_generation(MAC), mac);
     }
 
     #[test]

@@ -260,6 +260,14 @@ impl SectoredCache {
         result
     }
 
+    /// Accounts a probe known to miss (the line is absent): the probe
+    /// tick and miss stat that [`SectoredCache::probe`] would record,
+    /// without the set scan. Callers replaying a repeated miss use it.
+    pub fn note_miss(&mut self) {
+        self.tick += 1;
+        self.stats.misses += 1;
+    }
+
     /// Probes without updating LRU or statistics.
     pub fn peek(&self, line_addr: Addr, sectors: SectorMask) -> Probe {
         let set = self.set_index(line_addr);

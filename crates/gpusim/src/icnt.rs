@@ -407,7 +407,7 @@ mod tests {
         let cfg = GpuConfig::small();
         let mut icnt = Interconnect::new(&cfg);
         icnt.push_request(0, 2, req(7)).unwrap();
-        assert_eq!(icnt.pop_request(0 + cfg.icnt_latency as u64, 1), None);
+        assert_eq!(icnt.pop_request(cfg.icnt_latency as u64, 1), None);
         let got = icnt.pop_request(cfg.icnt_latency as u64, 2).expect("request arrives");
         assert_eq!(got.id, 7);
         icnt.push_response(100, 3, req(9));

@@ -165,6 +165,13 @@ impl<T> MshrFile<T> {
         }
     }
 
+    /// Accounts an access known to stall (the outcome [`MshrFile::access`]
+    /// would return as `Full`), without the lookup. Callers replaying a
+    /// repeated stall use it.
+    pub fn note_stall(&mut self) {
+        self.stats.stalls += 1;
+    }
+
     /// True if the line has an in-flight entry.
     pub fn contains(&self, line_addr: Addr) -> bool {
         self.find(line_addr).is_some()

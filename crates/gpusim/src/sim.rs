@@ -389,9 +389,8 @@ impl<B: MemoryBackend> Simulator<B> {
             return;
         }
         let gap = target - self.now;
-        let now = self.now;
         for sm in &mut self.sms {
-            sm.account_idle_stall(now, gap);
+            sm.account_idle_stall(gap);
         }
         self.now = target;
         // lint:allow(T1): interval-gated, as in step()
@@ -1078,8 +1077,7 @@ mod tests {
         cfg.num_partitions = 3;
         let kernel = StreamKernel { alu_per_mem: 1, bytes_per_warp: 4096, warps: 1 };
         let err = Simulator::try_new(cfg, &kernel, |_, c| PassthroughBackend::from_config(c))
-            .err()
-            .expect("three partitions is invalid");
+            .expect_err("three partitions is invalid");
         match err {
             crate::error::SimError::Config(e) => assert_eq!(e.field, "num_partitions"),
             other => panic!("expected config error, got {other:?}"),
@@ -1384,7 +1382,7 @@ mod tests {
         #[test]
         fn livelock_returns_stall_report() {
             let mut sim = drop_all_sim();
-            let err = sim.run_checked(1_000_000).err().expect("must stall");
+            let err = sim.run_checked(1_000_000).expect_err("must stall");
             let SimError::Stalled(stall) = *err else { panic!("expected stall, got {err:?}") };
             assert!(stall.cycle < 100_000, "stopped early, not at max_cycles");
             assert!(stall.stalled_for >= 2_000);

@@ -34,8 +34,12 @@ struct PendingAccess {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum IssueCheck {
     Yes,
+    /// Waits for an outstanding load to return.
     BlockedOnMem,
-    No,
+    /// A memory instruction waits for the dispatch queue to drain.
+    BlockedOnDispatch,
+    /// The warp fetched `Exit` and retired.
+    Retired,
 }
 
 struct WarpSlot {
@@ -45,6 +49,32 @@ struct WarpSlot {
     ready_at: Cycle,
     outstanding: u32,
     finished: bool,
+}
+
+impl WarpSlot {
+    /// True when the fetched instruction cannot issue until an outstanding
+    /// memory response returns. Only the warp's own issue raises
+    /// `outstanding`, so once true this stays true until a response lowers
+    /// it.
+    fn blocked_on_mem(&self, max_outstanding: u32) -> bool {
+        match self.next.as_ref() {
+            Some(Inst::Alu { wait_mem, .. }) => *wait_mem && self.outstanding > 0,
+            // The cap throttles *additional* loads; a single load wider
+            // than the cap (divergent scatter) still issues when the warp
+            // has nothing outstanding.
+            Some(Inst::Load { accesses, dependent }) => {
+                self.outstanding > 0
+                    && (*dependent
+                        || self.outstanding
+                            + crate::narrow::usize_to_u32(
+                                accesses.len(),
+                                "warp access list is bounded by threads_per_warp",
+                            )
+                            > max_outstanding)
+            }
+            _ => false,
+        }
+    }
 }
 
 impl core::fmt::Debug for WarpSlot {
@@ -57,6 +87,74 @@ impl core::fmt::Debug for WarpSlot {
     }
 }
 
+/// A set of warp indices: one bit per warp over ⌈warps/64⌉ words, plus a
+/// member count so emptiness is O(1).
+#[derive(Debug)]
+struct WarpSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl WarpSet {
+    fn new(warps: usize) -> Self {
+        Self { words: vec![0; warps.div_ceil(64)], len: 0 }
+    }
+
+    fn contains(&self, w: usize) -> bool {
+        self.words[w / 64] & (1 << (w % 64)) != 0
+    }
+
+    fn insert(&mut self, w: usize) {
+        let word = &mut self.words[w / 64];
+        let bit = 1 << (w % 64);
+        if *word & bit == 0 {
+            *word |= bit;
+            self.len += 1;
+        }
+    }
+
+    fn remove(&mut self, w: usize) {
+        let word = &mut self.words[w / 64];
+        let bit = 1 << (w % 64);
+        if *word & bit != 0 {
+            *word &= !bit;
+            self.len -= 1;
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    fn clear(&mut self) {
+        self.words.fill(0);
+        self.len = 0;
+    }
+
+    /// Moves every member of `other` into `self`.
+    fn absorb(&mut self, other: &mut WarpSet) {
+        self.len = 0;
+        for (mine, theirs) in self.words.iter_mut().zip(&mut other.words) {
+            *mine |= std::mem::take(theirs);
+            self.len += mine.count_ones() as usize;
+        }
+        other.len = 0;
+    }
+
+    /// The smallest member at or after `from`.
+    fn first_from(&self, from: usize) -> Option<usize> {
+        let mut i = from / 64;
+        let mut word = self.words.get(i)? & (!0u64 << (from % 64));
+        loop {
+            if word != 0 {
+                return Some(i * 64 + word.trailing_zeros() as usize);
+            }
+            i += 1;
+            word = *self.words.get(i)?;
+        }
+    }
+}
+
 /// Requests an SM wants to place on the interconnect this cycle.
 #[derive(Debug, Default)]
 pub struct SmOutput {
@@ -65,6 +163,20 @@ pub struct SmOutput {
 }
 
 /// One streaming multiprocessor.
+///
+/// Every unfinished warp sits in exactly one readiness set, so issue only
+/// visits warps whose verdict can have changed:
+///
+/// * `ready` — awake and not known to be blocked (possibly not fetched);
+/// * `mem_blocked` — its fetched instruction waits on `outstanding`,
+///   woken when a response lowers it enough;
+/// * `dispatch_blocked` — a memory instruction waiting for the dispatch
+///   queue, woken at the start of a scan that finds the queue open;
+/// * `sleepers` — issued and waiting for `ready_at`, at most one heap
+///   entry per warp.
+///
+/// The sets are derived from the warp slots: checkpoints do not store
+/// them, and restore rebuilds them.
 #[derive(Debug)]
 pub struct Sm {
     id: u32,
@@ -81,14 +193,10 @@ pub struct Sm {
     fill_targets: Vec<u32>,
     dispatch: VecDeque<PendingAccess>,
     hit_returns: BinaryHeap<Reverse<(Cycle, u32)>>,
-    /// Scratch issue bitmap (reused every cycle).
-    issued_scratch: Vec<bool>,
-    /// Cached no-issue verdict: while `now < issue_idle_until` the issue
-    /// scan is guaranteed to pick nothing, so it is skipped (with the
-    /// memory-stall counter still advancing when `issue_idle_blocked`).
-    /// Any event that could unblock a warp resets this to 0.
-    issue_idle_until: Cycle,
-    issue_idle_blocked: bool,
+    ready: WarpSet,
+    mem_blocked: WarpSet,
+    dispatch_blocked: WarpSet,
+    sleepers: BinaryHeap<Reverse<(Cycle, u32)>>,
     last_issued: u32,
     next_req_id: u64,
     /// Warp instructions issued.
@@ -100,11 +208,12 @@ pub struct Sm {
 impl Sm {
     /// Creates an SM with `programs` resident warps.
     pub fn new(id: u32, cfg: &GpuConfig, programs: Vec<Box<dyn WarpProgram + Send>>) -> Self {
-        let warps = programs
+        let warps: Vec<WarpSlot> = programs
             .into_iter()
             .map(|program| WarpSlot { program, next: None, ready_at: 0, outstanding: 0, finished: false })
             .collect();
-        Self {
+        let n = warps.len();
+        let mut sm = Self {
             id,
             issue_width: cfg.issue_width,
             scheduler: cfg.scheduler,
@@ -118,14 +227,17 @@ impl Sm {
             fill_targets: Vec::new(),
             dispatch: VecDeque::new(),
             hit_returns: BinaryHeap::new(),
-            issued_scratch: Vec::new(),
-            issue_idle_until: 0,
-            issue_idle_blocked: false,
+            ready: WarpSet::new(n),
+            mem_blocked: WarpSet::new(n),
+            dispatch_blocked: WarpSet::new(n),
+            sleepers: BinaryHeap::with_capacity(n),
             last_issued: 0,
             next_req_id: (id as u64) << 40,
             instructions: 0,
             mem_stall_cycles: 0,
-        }
+        };
+        sm.rebuild_readiness();
+        sm
     }
 
     /// This SM's index.
@@ -167,9 +279,42 @@ impl Sm {
         self.warps.iter().filter(|w| !w.finished).count()
     }
 
+    /// Places every unfinished warp in its readiness set from the warp
+    /// slots alone. A warp without a fetched instruction goes to the
+    /// sleepers whatever its `ready_at`: the next scan wakes it when due.
+    fn rebuild_readiness(&mut self) {
+        self.ready.clear();
+        self.mem_blocked.clear();
+        self.dispatch_blocked.clear();
+        self.sleepers.clear();
+        for (w, slot) in self.warps.iter().enumerate() {
+            if slot.finished {
+                continue;
+            }
+            if slot.next.is_none() {
+                self.sleepers.push(Reverse((slot.ready_at, crate::narrow::usize_to_u32(w, "warp index"))));
+            } else if slot.blocked_on_mem(self.max_outstanding) {
+                self.mem_blocked.insert(w);
+            } else {
+                self.ready.insert(w);
+            }
+        }
+    }
+
+    /// Lowers warp `w`'s outstanding count after a response and wakes it
+    /// if that unblocked its fetched instruction.
+    fn note_returned(&mut self, w: usize) {
+        let slot = &mut self.warps[w];
+        debug_assert!(slot.outstanding > 0);
+        slot.outstanding = slot.outstanding.saturating_sub(1);
+        if self.mem_blocked.contains(w) && !slot.blocked_on_mem(self.max_outstanding) {
+            self.mem_blocked.remove(w);
+            self.ready.insert(w);
+        }
+    }
+
     /// Delivers a memory response (an L2/engine fill) to this SM.
     pub fn on_response(&mut self, resp: &MemRequest) {
-        self.issue_idle_until = 0;
         let line = resp.line_addr;
         self.fill_targets.clear();
         match self.l1_mshrs.note_fill(line, resp.sectors, &mut self.fill_targets) {
@@ -181,33 +326,17 @@ impl Sm {
             FillOutcome::Complete(sectors) => {
                 // Fill exactly the sectors the entry requested, as before.
                 self.l1.fill(line, sectors, SectorMask::EMPTY);
-                for &warp in &self.fill_targets {
-                    let slot = &mut self.warps[warp as usize];
-                    debug_assert!(slot.outstanding > 0);
-                    slot.outstanding = slot.outstanding.saturating_sub(1);
+                for i in 0..self.fill_targets.len() {
+                    self.note_returned(self.fill_targets[i] as usize);
                 }
             }
         }
     }
 
-    /// True when the warp's fetched instruction cannot issue until an
-    /// outstanding memory response returns (the `BlockedOnMem` cases of
-    /// [`Sm::issuable`], evaluated without side effects).
-    fn warp_mem_blocked(&self, w: &WarpSlot) -> bool {
-        match w.next.as_ref() {
-            Some(Inst::Alu { wait_mem, .. }) => *wait_mem && w.outstanding > 0,
-            Some(Inst::Load { accesses, dependent }) => {
-                w.outstanding > 0
-                    && (*dependent
-                        || w.outstanding
-                            + crate::narrow::usize_to_u32(
-                                accesses.len(),
-                                "warp access list is bounded by threads_per_warp",
-                            )
-                            > self.max_outstanding)
-            }
-            _ => false,
-        }
+    /// True when a warp waits on memory or on the dispatch queue: the
+    /// condition under which a cycle without issue is a memory stall.
+    fn stalled_on_mem(&self) -> bool {
+        !self.mem_blocked.is_empty() || !self.dispatch_blocked.is_empty()
     }
 
     /// Earliest cycle at or after `now` at which this SM can make
@@ -216,53 +345,22 @@ impl Sm {
     /// or blocked on memory — external responses re-awaken the SM via
     /// the interconnect's own events. Used by the idle-skip scheduler.
     pub fn next_event_cycle(&self, now: Cycle) -> Option<Cycle> {
-        let mut next: Option<Cycle> = None;
-        let mut merge = |c: Cycle| next = Some(next.map_or(c, |n: Cycle| n.min(c)));
-        if !self.dispatch.is_empty() {
-            merge(now);
+        // A ready warp acts now; a dispatch-blocked one is re-examined
+        // now (the queue is non-empty, or it opened and the next scan
+        // wakes it). Memory-blocked warps have no self-contained wakeup.
+        if !self.dispatch.is_empty() || !self.ready.is_empty() || !self.dispatch_blocked.is_empty() {
+            return Some(now);
         }
-        if let Some(Reverse((at, _))) = self.hit_returns.peek() {
-            merge((*at).max(now));
-        }
-        if now < self.issue_idle_until {
-            // A valid no-issue verdict already knows the answer: every
-            // ready warp is memory-blocked (no self-contained event) and
-            // the earliest sleeper wakes exactly at `issue_idle_until`.
-            if self.issue_idle_until != Cycle::MAX {
-                merge(self.issue_idle_until);
-            }
-            return next;
-        }
-        for w in &self.warps {
-            if w.finished {
-                continue;
-            }
-            // A memory-blocked warp has no self-contained wakeup time; an
-            // unblocked (or not-yet-fetched) warp acts at `ready_at`.
-            if w.next.is_some() && self.warp_mem_blocked(w) {
-                continue;
-            }
-            merge(w.ready_at.max(now));
-        }
-        next
+        let hit = self.hit_returns.peek().map(|Reverse((at, _))| *at);
+        let wake = self.sleepers.peek().map(|Reverse((at, _))| *at);
+        hit.into_iter().chain(wake).min().map(|c| c.max(now))
     }
 
     /// Accounts `cycles` fast-forwarded quiescent cycles: a gap cycle in
     /// which at least one warp waits on memory is a memory-stall cycle,
     /// exactly as the per-cycle issue loop would have counted it.
-    pub fn account_idle_stall(&mut self, now: Cycle, cycles: u64) {
-        if cycles == 0 {
-            return;
-        }
-        // A valid no-issue verdict was computed with an empty dispatch
-        // queue (a gap cannot open otherwise), so its blocked flag equals
-        // the per-warp predicate below.
-        let blocked = if now < self.issue_idle_until {
-            self.issue_idle_blocked
-        } else {
-            self.warps.iter().any(|w| !w.finished && w.ready_at <= now && self.warp_mem_blocked(w))
-        };
-        if blocked {
+    pub fn account_idle_stall(&mut self, cycles: u64) {
+        if self.stalled_on_mem() {
             self.mem_stall_cycles += cycles;
         }
     }
@@ -272,12 +370,7 @@ impl Sm {
     /// still take (the SM stops dispatching when it reaches zero).
     pub fn cycle(&mut self, now: Cycle, icnt_room: usize, out: &mut SmOutput) {
         self.drain_hit_returns(now);
-        let before = self.dispatch.len();
         self.dispatch_accesses(now, icnt_room, out);
-        if self.dispatch.len() != before {
-            // Draining the dispatch queue can reopen it for blocked warps.
-            self.issue_idle_until = 0;
-        }
         self.issue(now);
     }
 
@@ -287,12 +380,9 @@ impl Sm {
                 break;
             }
             self.hit_returns.pop();
-            let slot = &mut self.warps[warp as usize];
-            slot.outstanding = slot.outstanding.saturating_sub(1);
-            self.issue_idle_until = 0;
+            self.note_returned(warp as usize);
         }
     }
-
     fn dispatch_accesses(&mut self, now: Cycle, mut icnt_room: usize, out: &mut SmOutput) {
         for _ in 0..self.l1_ports {
             let Some(pa) = self.dispatch.front().copied() else { break };
@@ -382,196 +472,149 @@ impl Sm {
 
     /// Decides whether warp `w`'s pending instruction can issue now, after
     /// fetching it if needed. Retires the warp on `Exit`.
-    fn issuable(&mut self, w: usize, now: Cycle, dispatch_open: bool) -> IssueCheck {
+    fn issuable(&mut self, w: usize, dispatch_open: bool) -> IssueCheck {
         let slot = &mut self.warps[w];
-        if slot.finished {
-            return IssueCheck::No;
-        }
-        if slot.ready_at > now {
-            return IssueCheck::No;
-        }
+        debug_assert!(!slot.finished, "retired warps leave every readiness set");
         if slot.next.is_none() {
             // lint:allow(T1): warp programs materialize one Inst per fetch; its coalesced-access list is heap-backed by design (trace format)
             let inst = slot.program.next_inst();
             if matches!(inst, Inst::Exit) {
                 slot.finished = true;
-                return IssueCheck::No;
+                return IssueCheck::Retired;
             }
             slot.next = Some(inst);
         }
-        let Some(next) = slot.next.as_ref() else {
-            debug_assert!(false, "fetch above guarantees a pending instruction");
-            return IssueCheck::No;
-        };
-        match next {
-            Inst::Alu { wait_mem, .. } => {
-                if *wait_mem && slot.outstanding > 0 {
-                    IssueCheck::BlockedOnMem
-                } else {
-                    IssueCheck::Yes
-                }
-            }
-            Inst::Load { accesses, dependent } => {
-                if *dependent && slot.outstanding > 0 {
-                    return IssueCheck::BlockedOnMem;
-                }
-                // The cap throttles *additional* loads; a single load wider
-                // than the cap (divergent scatter) still issues when the
-                // warp has nothing outstanding.
-                if slot.outstanding > 0
-                    && slot.outstanding
-                        + crate::narrow::usize_to_u32(
-                            accesses.len(),
-                            "warp access list is bounded by threads_per_warp",
-                        )
-                        > self.max_outstanding
-                {
-                    return IssueCheck::BlockedOnMem;
-                }
-                if dispatch_open {
-                    IssueCheck::Yes
-                } else {
-                    IssueCheck::BlockedOnMem
-                }
-            }
-            Inst::Store { .. } => {
-                if dispatch_open {
-                    IssueCheck::Yes
-                } else {
-                    IssueCheck::BlockedOnMem
-                }
-            }
-            Inst::Exit => {
-                // Fetch retires `Exit` before it can reach the scoreboard.
-                debug_assert!(false, "Exit is handled at fetch");
-                IssueCheck::No
-            }
+        if slot.blocked_on_mem(self.max_outstanding) {
+            return IssueCheck::BlockedOnMem;
+        }
+        match slot.next {
+            Some(Inst::Load { .. } | Inst::Store { .. }) if !dispatch_open => IssueCheck::BlockedOnDispatch,
+            _ => IssueCheck::Yes,
         }
     }
 
+    /// Examines ready warp `w` and issues its instruction if it can,
+    /// moving the warp to the set its verdict calls for. Returns true when
+    /// it issued.
+    fn try_issue(&mut self, w: usize, now: Cycle, dispatch_open: bool) -> bool {
+        self.ready.remove(w);
+        match self.issuable(w, dispatch_open) {
+            IssueCheck::Yes => {}
+            IssueCheck::BlockedOnMem => {
+                self.mem_blocked.insert(w);
+                return false;
+            }
+            IssueCheck::BlockedOnDispatch => {
+                self.dispatch_blocked.insert(w);
+                return false;
+            }
+            IssueCheck::Retired => return false,
+        }
+        let warp = crate::narrow::usize_to_u32(w, "warp index < max_warps_per_sm");
+        self.last_issued = warp;
+        let Some(inst) = self.warps[w].next.take() else {
+            debug_assert!(false, "issuable implies fetched");
+            return false;
+        };
+        let ready_at = match inst {
+            Inst::Alu { stall, .. } => now + stall.max(1) as Cycle,
+            Inst::Load { accesses, .. } => {
+                self.warps[w].outstanding += crate::narrow::usize_to_u32(
+                    accesses.len(),
+                    "warp access list is bounded by threads_per_warp",
+                );
+                for access in accesses {
+                    self.dispatch.push_back(PendingAccess { warp, access, kind: AccessKind::Load });
+                }
+                now + 1
+            }
+            Inst::Store { accesses } => {
+                for access in accesses {
+                    self.dispatch.push_back(PendingAccess { warp, access, kind: AccessKind::Store });
+                }
+                now + 1
+            }
+            // Fetch retires `Exit`; it never reaches the issue queue.
+            Inst::Exit => {
+                debug_assert!(false, "exit never stored");
+                now + 1
+            }
+        };
+        self.warps[w].ready_at = ready_at;
+        self.sleepers.push(Reverse((ready_at, warp)));
+        self.instructions += 1;
+        true
+    }
+
+    /// Issues up to `issue_width` instructions from the ready warps.
+    ///
+    /// GTO visits the last issued warp first (greedy), then the rest
+    /// oldest (lowest index) first; LRR rotates, starting after the last
+    /// issued warp. This is the order a per-slot rescan of every warp
+    /// would examine them in, restricted to the warps whose verdict can
+    /// have changed, so fetches (and `Exit` retirements) happen on the
+    /// same cycles: the scan stops at the `issue_width`-th issue.
     fn issue(&mut self, now: Cycle) {
         let n = self.warps.len();
         if n == 0 {
             return;
         }
-        if now < self.issue_idle_until {
-            // A previous full scan proved nothing can issue before
-            // `issue_idle_until` absent an unblocking event (which would
-            // have reset it); replay its stall accounting and skip.
-            if self.issue_idle_blocked {
-                self.mem_stall_cycles += 1;
+        while let Some(Reverse((at, w))) = self.sleepers.peek().copied() {
+            if at > now {
+                break;
             }
-            return;
+            self.sleepers.pop();
+            self.ready.insert(w as usize);
         }
+        // The verdict against the queue is frozen for the whole scan.
         let dispatch_open = self.dispatch.len() < DISPATCH_HIGH_WATERMARK;
-        let mut issued_any = false;
-        let mut blocked_on_mem = false;
-        self.issued_scratch.clear();
-        self.issued_scratch.resize(n, false);
-        for _slot in 0..self.issue_width {
-            let mut pick = None;
-            // GTO: last issued warp first (greedy), then oldest-first.
-            // LRR: rotate, starting after the last issued warp.
-            let candidates = match self.scheduler {
-                SchedulerPolicy::Gto => n + 1,
-                SchedulerPolicy::Lrr => n,
-            };
-            for k in 0..candidates {
-                let w = match self.scheduler {
-                    SchedulerPolicy::Gto => {
-                        if k == 0 {
-                            self.last_issued as usize
-                        } else {
-                            k - 1
-                        }
-                    }
-                    SchedulerPolicy::Lrr => (self.last_issued as usize + 1 + k) % n,
-                };
-                if self.issued_scratch[w] {
+        if dispatch_open && !self.dispatch_blocked.is_empty() {
+            self.ready.absorb(&mut self.dispatch_blocked);
+        }
+        let mut issued = 0;
+        let last = self.last_issued as usize;
+        let start = match self.scheduler {
+            SchedulerPolicy::Gto => {
+                if self.issue_width > 0
+                    && self.ready.contains(last)
+                    && self.try_issue(last, now, dispatch_open)
+                {
+                    issued += 1;
+                }
+                0
+            }
+            SchedulerPolicy::Lrr => (last + 1) % n,
+        };
+        // Examined warps leave `ready` and nothing joins it mid-scan, so
+        // each warp is examined at most once: from `start` to the end,
+        // then wrapping round to just before `start`.
+        let mut cursor = start;
+        let mut wrapped = false;
+        while issued < self.issue_width {
+            let w = match self.ready.first_from(cursor) {
+                Some(w) if !wrapped || w < start => w,
+                _ if !wrapped && start > 0 => {
+                    wrapped = true;
+                    cursor = 0;
                     continue;
                 }
-                match self.issuable(w, now, dispatch_open) {
-                    IssueCheck::Yes => {
-                        pick = Some(w);
-                        break;
-                    }
-                    // A non-issuable verdict cannot change within this
-                    // cycle (`dispatch_open` is frozen and issuing some
-                    // other warp only mutates that warp's slot), so mark
-                    // the warp skipped for the remaining issue slots.
-                    IssueCheck::BlockedOnMem => {
-                        blocked_on_mem = true;
-                        self.issued_scratch[w] = true;
-                    }
-                    IssueCheck::No => self.issued_scratch[w] = true,
-                }
-            }
-            let Some(w) = pick else { break };
-            self.issued_scratch[w] = true;
-            self.last_issued = crate::narrow::usize_to_u32(w, "warp index < max_warps_per_sm");
-            let Some(inst) = self.warps[w].next.take() else {
-                debug_assert!(false, "issuable implies fetched");
-                break;
+                _ => break,
             };
-            match inst {
-                Inst::Alu { stall, .. } => {
-                    self.warps[w].ready_at = now + stall.max(1) as Cycle;
-                }
-                Inst::Load { accesses, .. } => {
-                    self.warps[w].outstanding += crate::narrow::usize_to_u32(
-                        accesses.len(),
-                        "warp access list is bounded by threads_per_warp",
-                    );
-                    self.warps[w].ready_at = now + 1;
-                    for access in accesses {
-                        self.dispatch.push_back(PendingAccess {
-                            warp: crate::narrow::usize_to_u32(w, "warp index < max_warps_per_sm"),
-                            access,
-                            kind: AccessKind::Load,
-                        });
-                    }
-                }
-                Inst::Store { accesses } => {
-                    self.warps[w].ready_at = now + 1;
-                    for access in accesses {
-                        self.dispatch.push_back(PendingAccess {
-                            warp: crate::narrow::usize_to_u32(w, "warp index < max_warps_per_sm"),
-                            access,
-                            kind: AccessKind::Store,
-                        });
-                    }
-                }
-                // Fetch retires `Exit`; it never reaches the issue queue.
-                Inst::Exit => debug_assert!(false, "exit never stored"),
+            cursor = w + 1;
+            if self.try_issue(w, now, dispatch_open) {
+                issued += 1;
             }
-            self.instructions += 1;
-            issued_any = true;
         }
-        if !issued_any {
-            if blocked_on_mem {
-                self.mem_stall_cycles += 1;
-            }
-            // The slot-0 scan visited (and fetched) every runnable warp,
-            // so the verdict holds until the earliest sleeping warp wakes
-            // or an unblocking event clears the cache.
-            let mut until = Cycle::MAX;
-            for w in &self.warps {
-                if !w.finished && w.ready_at > now && w.ready_at < until {
-                    until = w.ready_at;
-                }
-            }
-            self.issue_idle_until = until;
-            self.issue_idle_blocked = blocked_on_mem;
+        if issued == 0 && self.stalled_on_mem() {
+            self.mem_stall_cycles += 1;
         }
     }
 
     /// Serializes the SM's dynamic state: warp progress (via
     /// [`WarpProgram::save_state`]), the L1 and its MSHRs, the dispatch
-    /// queue, pending hit returns, the no-issue cache and the issue
-    /// bookkeeping. Scratch buffers are not saved. The no-issue cache
-    /// (`issue_idle_until`/`issue_idle_blocked`) is saved exactly so
-    /// stall accounting on resume is byte-identical to an uninterrupted
-    /// run.
+    /// queue, pending hit returns and the issue bookkeeping. Scratch
+    /// buffers and the readiness sets are not saved; the sets follow from
+    /// the warp slots.
     pub fn save_state(&self, w: &mut Writer) {
         w.put_usize(self.warps.len());
         let mut words: Vec<u64> = Vec::new();
@@ -595,8 +638,6 @@ impl Sm {
         let mut hits: Vec<(Cycle, u32)> = self.hit_returns.iter().map(|Reverse(e)| *e).collect();
         hits.sort_unstable();
         hits.save(w);
-        w.put_u64(self.issue_idle_until);
-        w.put_bool(self.issue_idle_blocked);
         w.put_u32(self.last_issued);
         w.put_u64(self.next_req_id);
         w.put_u64(self.instructions);
@@ -647,8 +688,6 @@ impl Sm {
             }
         }
         self.hit_returns = hits.into_iter().map(Reverse).collect();
-        self.issue_idle_until = r.get_u64()?;
-        self.issue_idle_blocked = r.get_bool()?;
         let last_issued = r.get_u32()?;
         if n > 0 && last_issued as usize >= n {
             return Err(CheckpointError::Malformed(format!("last issued warp {last_issued} of {n}")));
@@ -657,6 +696,7 @@ impl Sm {
         self.next_req_id = r.get_u64()?;
         self.instructions = r.get_u64()?;
         self.mem_stall_cycles = r.get_u64()?;
+        self.rebuild_readiness();
         Ok(())
     }
 }
@@ -842,6 +882,224 @@ mod tests {
         }
         assert!(sm.finished());
         assert_eq!(sm.instructions, 8);
+    }
+
+    fn boxed(insts: Vec<Inst>) -> Box<dyn WarpProgram + Send> {
+        Box::new(Script(insts))
+    }
+
+    fn alu_stall(stall: u32) -> Inst {
+        Inst::Alu { stall, wait_mem: false }
+    }
+
+    fn wide_store(accesses: u64) -> Inst {
+        Inst::Store {
+            accesses: (0..accesses).map(|i| Access::new(0x8_0000 + i * 128, SectorMask::single(0))).collect(),
+        }
+    }
+
+    /// Runs one cycle and returns the warps that issued in it (ascending;
+    /// issuing is what moves a warp's `ready_at`) and the last issued one.
+    fn step(sm: &mut Sm, now: Cycle, room: usize, out: &mut SmOutput) -> (Vec<usize>, u32) {
+        let before: Vec<Cycle> = sm.warps.iter().map(|w| w.ready_at).collect();
+        sm.cycle(now, room, out);
+        let issued = (0..sm.warps.len()).filter(|&w| sm.warps[w].ready_at != before[w]).collect();
+        (issued, sm.last_issued)
+    }
+
+    /// Six warps covering every readiness state: warp 0 fills the
+    /// dispatch queue with one 64-access store, warp 1 sleeps on a long
+    /// ALU, warp 2 blocks on its own dependent load, warp 3 stores behind
+    /// the full queue, warps 4 and 5 are ALU-only.
+    fn mixed_warps(scheduler: SchedulerPolicy) -> Sm {
+        let mut c = cfg();
+        c.scheduler = scheduler;
+        c.issue_width = 2;
+        let store = || Inst::store(Access::new(0x200, SectorMask::single(0)));
+        let progs = vec![
+            boxed(vec![wide_store(64), Inst::alu(), Inst::alu()]),
+            boxed(vec![alu_stall(3), store(), Inst::alu()]),
+            boxed(vec![load(0x1000), Inst::use_mem()]),
+            boxed(vec![store(), Inst::alu()]),
+            boxed(vec![Inst::alu(); 3]),
+            boxed(vec![Inst::alu(); 2]),
+        ];
+        Sm::new(0, &c, progs)
+    }
+
+    #[test]
+    fn gto_issues_the_hand_computed_sequence() {
+        let mut sm = mixed_warps(SchedulerPolicy::Gto);
+        let mut out = SmOutput::default();
+        // Interconnect closed through cycle 5, so the queue stays full.
+        let log: Vec<_> = (0..6).map(|now| step(&mut sm, now, 0, &mut out)).collect();
+        let expected: Vec<(Vec<usize>, u32)> = vec![
+            (vec![0, 1], 1), // the wide store fills the queue; warp 1 sleeps to 3
+            (vec![0, 4], 4), // 2 and 3 are dispatch-blocked; 5 is past the cutoff
+            (vec![0, 4], 0), // greedy on 4, then oldest first: 0; 5 still unseen
+            (vec![4, 5], 5), // 0 retires, 1 joins the dispatch-blocked warps
+            (vec![5], 5),    // 4 retires
+            (vec![], 5),     // 5 retires; only blocked warps remain
+        ];
+        assert_eq!(log, expected);
+        assert_eq!(sm.mem_stall_cycles, 1);
+        // The queue drains two accesses a cycle and reopens at once.
+        let log: Vec<_> = (6..10).map(|now| step(&mut sm, now, 64, &mut out)).collect();
+        let expected: Vec<(Vec<usize>, u32)> = vec![
+            (vec![1, 2], 2), // the woken warps issue; 3 is past the cutoff
+            (vec![1, 3], 3), // 2 fetches its use and blocks on memory
+            (vec![3], 3),    // 1 retires
+            (vec![], 3),     // 3 retires; 2 waits on memory
+        ];
+        assert_eq!(log, expected);
+        assert_eq!(sm.mem_stall_cycles, 2);
+        // Warp 2's load leaves behind 65 queued stores, at cycle 38.
+        let mut now = 10;
+        while !out.requests.iter().any(|r| r.kind == AccessKind::Load) {
+            assert_eq!(step(&mut sm, now, 64, &mut out), (vec![], 3));
+            now += 1;
+        }
+        assert_eq!(now, 39);
+        let load = out.requests.iter().find(|r| r.kind == AccessKind::Load).cloned().expect("load sent");
+        assert_eq!(sm.next_event_cycle(now), Some(now), "the queue still holds a store");
+        sm.on_response(&load);
+        assert_eq!(step(&mut sm, now, 64, &mut out), (vec![2], 2), "the response wakes warp 2");
+        assert_eq!(step(&mut sm, now + 1, 64, &mut out), (vec![], 2));
+        assert!(sm.finished());
+    }
+
+    #[test]
+    fn lrr_issues_the_hand_computed_sequence() {
+        let mut sm = mixed_warps(SchedulerPolicy::Lrr);
+        let mut out = SmOutput::default();
+        let log: Vec<_> = (0..7).map(|now| step(&mut sm, now, 0, &mut out)).collect();
+        let expected: Vec<(Vec<usize>, u32)> = vec![
+            (vec![1, 2], 2), // rotation starts after warp 0
+            (vec![3, 4], 4),
+            (vec![0, 5], 0), // 5, then wrap to 0: the wide store fills the queue
+            (vec![3, 4], 4), // 1 dispatch-blocked, 2 memory-blocked
+            (vec![0, 5], 0),
+            (vec![0, 4], 0), // 3 and 5 retire on the way
+            (vec![], 0),     // 4 and 0 retire
+        ];
+        assert_eq!(log, expected);
+        assert_eq!(sm.mem_stall_cycles, 1);
+        // Cycle 7 sends warp 2's load and a store but leaves the queue full.
+        assert_eq!(step(&mut sm, 7, 64, &mut out), (vec![], 0));
+        assert_eq!(sm.mem_stall_cycles, 2);
+        assert_eq!(step(&mut sm, 8, 64, &mut out), (vec![1], 1), "the reopened queue wakes warp 1");
+        let load = out.requests.iter().find(|r| r.kind == AccessKind::Load).cloned().expect("load sent");
+        sm.on_response(&load);
+        assert_eq!(step(&mut sm, 9, 64, &mut out), (vec![1, 2], 1), "rotation resumes after warp 1");
+        assert_eq!(step(&mut sm, 10, 64, &mut out), (vec![], 1));
+        assert!(sm.finished());
+    }
+
+    #[test]
+    fn exit_past_the_issue_cutoff_retires_when_the_scan_reaches_it() {
+        let mut c = cfg();
+        c.issue_width = 1;
+        let mut sm = Sm::new(0, &c, vec![boxed(vec![Inst::alu(), Inst::alu()]), boxed(vec![])]);
+        let mut out = SmOutput::default();
+        for now in 0..2 {
+            assert_eq!(step(&mut sm, now, 8, &mut out), (vec![0], 0));
+            assert!(!sm.warps[1].finished, "warp 1 sits past the cutoff at cycle {now}");
+            assert_eq!(sm.next_event_cycle(now + 1), Some(now + 1));
+        }
+        // Warp 0 fetches its `Exit`, so the scan reaches warp 1's.
+        assert_eq!(step(&mut sm, 2, 8, &mut out), (vec![], 0));
+        assert!(sm.finished());
+        assert_eq!(sm.next_event_cycle(3), None);
+    }
+
+    /// A deterministic mix of ALU, dependent and divergent loads, uses
+    /// and stores, different for every warp.
+    fn mixed_programs(warps: usize) -> Vec<Box<dyn WarpProgram + Send>> {
+        (0..warps as u64)
+            .map(|w| {
+                let insts = (0..14u64)
+                    .map(|j| {
+                        let addr = 0x10_000 * (w + 1) + j * 0x80;
+                        match (w * 7 + j * 3) % 6 {
+                            0 => alu_stall(1 + ((w + j) % 4) as u32),
+                            1 => load(addr),
+                            2 => Inst::Load {
+                                accesses: (0..3)
+                                    .map(|k| Access::new(addr + k * 4096, SectorMask::single(1)))
+                                    .collect(),
+                                dependent: false,
+                            },
+                            3 => Inst::use_mem(),
+                            4 => Inst::store(Access::new(addr, SectorMask::single(2))),
+                            _ => wide_store(3),
+                        }
+                    })
+                    .collect();
+                boxed(insts)
+            })
+            .collect()
+    }
+
+    /// Runs `sm` over `cycles`, answering each load request 25 cycles
+    /// after it leaves; `pending` carries the responses in flight.
+    /// Returns the checkpoint bytes and the next-event answer after every
+    /// cycle.
+    fn drive(
+        sm: &mut Sm,
+        cycles: std::ops::Range<Cycle>,
+        pending: &mut Vec<(Cycle, MemRequest)>,
+    ) -> Vec<(Vec<u8>, Option<Cycle>)> {
+        let mut trail = Vec::new();
+        for now in cycles {
+            for (_, resp) in pending.extract_if(.., |(at, _)| *at <= now) {
+                sm.on_response(&resp);
+            }
+            let mut out = SmOutput::default();
+            sm.cycle(now, (now % 4) as usize, &mut out);
+            pending.extend(
+                out.requests.into_iter().filter(|r| r.kind == AccessKind::Load).map(|r| (now + 25, r)),
+            );
+            let mut w = Writer::new();
+            sm.save_state(&mut w);
+            trail.push((w.into_bytes(), sm.next_event_cycle(now + 1)));
+        }
+        trail
+    }
+
+    #[test]
+    fn save_restore_continue_equals_an_unbroken_run() {
+        const END: Cycle = 2_000;
+        // 64 warps fill one bitset word exactly; 65 spill into a second.
+        for warps in [64, 65] {
+            let make = || Sm::new(3, &cfg(), mixed_programs(warps));
+            let mut whole = make();
+            let mut pending = Vec::new();
+            let unbroken = drive(&mut whole, 0..END, &mut pending);
+            assert!(whole.finished(), "{warps} warps: the run must finish");
+            assert!(whole.mem_stall_cycles > 0 && whole.instructions == 14 * warps as u64);
+            // Fixed cuts, plus the first two where the SM was quiet (an
+            // idle-skip gap could open), so the rebuilt sets are probed
+            // before any scan refreshes them.
+            let quiet: Vec<Cycle> =
+                (1..END).filter(|&c| unbroken[c as usize - 1].1 != Some(c)).take(2).collect();
+            assert_eq!(quiet.len(), 2, "{warps} warps: the run must have quiet cycles");
+            for cut in [1, 37, 211, 640].into_iter().chain(quiet) {
+                let mut first = make();
+                let mut pending = Vec::new();
+                drive(&mut first, 0..cut, &mut pending);
+                let mut w = Writer::new();
+                first.save_state(&mut w);
+                let payload = w.into_bytes();
+                let mut resumed = make();
+                let mut r = Reader::new(&payload);
+                resumed.restore_state(&mut r).expect("restore succeeds");
+                r.expect_end().expect("payload fully consumed");
+                // The rebuilt sets answer the idle-skip probe as the live ones did.
+                assert_eq!(resumed.next_event_cycle(cut), unbroken[cut as usize - 1].1, "cut at {cut}");
+                let rest = drive(&mut resumed, cut..END, &mut pending);
+                assert!(rest == unbroken[cut as usize..], "{warps} warps diverged after a cut at {cut}");
+            }
+        }
     }
 
     #[test]

@@ -258,6 +258,7 @@ impl Default for Policy {
                 "advance_idle",
                 "issue",
                 "issuable",
+                "try_issue",
                 "access",
                 "complete",
                 "try_accept",

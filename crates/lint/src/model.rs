@@ -61,6 +61,9 @@ const PRIMITIVES: &[&str] = &[
 /// Index of a function in [`WorkspaceModel::fns`].
 pub type FnId = usize;
 
+/// One tier of callee resolution: which candidate functions it accepts.
+type CandidateFilter<'a> = &'a dyn Fn(&FnNode) -> bool;
+
 /// A function plus its defining file.
 #[derive(Debug, Clone)]
 pub struct FnNode {
@@ -204,7 +207,7 @@ impl WorkspaceModel {
     fn resolve(&self, file: &str, krate: &str, name: &str, caller: FnId, require_self: bool) -> Vec<FnId> {
         let Some(cands) = self.by_name.get(name) else { return Vec::new() };
         let cross_crate_ok = !COMMON_STD_NAMES.contains(&name);
-        let tiers: [(&dyn Fn(&FnNode) -> bool, bool); 3] = [
+        let tiers: [(CandidateFilter<'_>, bool); 3] = [
             (&|n: &FnNode| n.file == file, true),
             (&|n: &FnNode| n.krate == krate, true),
             (&|_| true, cross_crate_ok),

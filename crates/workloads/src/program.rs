@@ -356,9 +356,8 @@ mod tests {
         );
         let mut p = k.spawn(0, 0);
         let inst = loop {
-            match p.next_inst() {
-                Inst::Load { accesses, .. } => break accesses,
-                _ => {}
+            if let Inst::Load { accesses, .. } = p.next_inst() {
+                break accesses;
             }
         };
         assert_eq!(inst.len(), 16);
